@@ -7,7 +7,6 @@ change that pins BLAS threads inside the program shows in the numbers.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 import platform
 import subprocess
@@ -100,15 +99,6 @@ def _commit(root: Path) -> str | None:
     return lines[1]
 
 
-def source_digest(root: Path) -> str:
-    """sha256 over the program's sources, for checkouts without git."""
-    digest = hashlib.sha256()
-    for path in sorted((root / "src").rglob("*.py")):
-        digest.update(str(path.relative_to(root)).encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
 def fingerprint(root: Path) -> dict[str, Any]:
     """Cores, affinity, CPU, BLAS, versions and commit of this run."""
     import numpy as np
@@ -129,5 +119,4 @@ def fingerprint(root: Path) -> dict[str, Any]:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "commit": _commit(root),
-        "src_sha256": source_digest(root),
     }

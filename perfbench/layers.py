@@ -40,17 +40,10 @@ def _jobs(args: tuple, kwargs: dict, result: Any) -> int:
     return len(jobs)
 
 
-def install(tracer: Tracer, extra: Sequence[tuple] = ()) -> list:
-    """Patch every layer boundary; returns the pools seen, for retries.
-
-    ``extra`` holds further ``(owner, attr, span name)`` hooks on the
-    benchmark's own classes.
-    """
+def install(tracer: Tracer) -> list:
+    """Patch every layer boundary; returns the pools seen, for retries."""
     from repro.core import batched, neighbor_ops
-    from repro.core.frontier import FrontierAggregates
     from repro.core.process import MISProcess
-    from repro.dynamic.overlay import DeltaNeighborOps, DeltaOverlay
-    from repro.dynamic.service import MISService
     from repro.graphs import random_graphs
     from repro.graphs.graph import Graph
     from repro.parallel import fleet
@@ -90,9 +83,6 @@ def install(tracer: Tracer, extra: Sequence[tuple] = ()) -> list:
             lambda a, k, r: a[0].handle.nbytes,
         ),
         (fleet, "run_fleet_sharded", "parallel.fleet_sharded"),
-        (MISService, "apply_event", "dynamic.apply_event"),
-        (FrontierAggregates, "apply_topology_delta", "dynamic.topology_delta"),
-        (DeltaOverlay, "compact", "dynamic.compact"),
     ]
     for cls in (
         batched.BatchedTwoStateMIS,
@@ -107,7 +97,6 @@ def install(tracer: Tracer, extra: Sequence[tuple] = ()) -> list:
         neighbor_ops.SparseNeighborOps,
         neighbor_ops.BitsetNeighborOps,
         neighbor_ops.AdjListNeighborOps,
-        DeltaNeighborOps,
     ):
         for attr in REDUCE:
             if attr in vars(cls):
@@ -115,7 +104,7 @@ def install(tracer: Tracer, extra: Sequence[tuple] = ()) -> list:
         for attr in SCATTER:
             if attr in vars(cls):
                 hooks.append((cls, attr, "core.neighbor_ops.scatter"))
-    for hook in [*hooks, *extra]:
+    for hook in hooks:
         tracer.patch(*hook)
     return pools
 
@@ -150,9 +139,6 @@ _SPAN_METRICS = {
     "parallel.run_jobs_s": ("s", "parallel.run_jobs", "total_s"),
     "parallel.shards": ("count", "parallel.run_jobs", "units"),
     "parallel.shm_bytes": ("bytes", "parallel.shm_publish", "units"),
-    "dynamic.event_at_s": ("s", "dynamic.event_at", "total_s"),
-    "dynamic.apply_event_s": ("s", "dynamic.apply_event", "total_s"),
-    "dynamic.topology_delta_s": ("s", "dynamic.topology_delta", "total_s"),
     "bench.iteration_self_s": ("s", "bench.iteration", "self_s"),
 }
 
@@ -163,12 +149,6 @@ OTHER_UNITS = {
     "setup.warmup_s": "s",
     "sim.checkpoint.bytes": "bytes",
     "parallel.retries": "count",
-    "dynamic.settle_rounds": "count",
-    "dynamic.compactions": "count",
-    "dynamic.repair_ratio": "ratio",
-    "dynamic.event_p50_ms": "ms",
-    "dynamic.event_p99_ms": "ms",
-    "dynamic.query_us": "us",
     "trace.overhead_s": "s",
     "trace.spans": "count",
 }
@@ -179,32 +159,12 @@ PER_LAYER_UNITS = {
 }
 
 
-def churn_latencies(outcomes: Sequence[Any]) -> dict[str, float]:
-    """Event p50/p99 (ms) and per-call query latency (µs), untraced."""
-    events = [t for o in outcomes for t in o.event_s]
-    calls = [t for o in outcomes for t in o.query_call_s]
-    if not events:
-        return {
-            "dynamic.event_p50_ms": 0.0,
-            "dynamic.event_p99_ms": 0.0,
-            "dynamic.query_us": 0.0,
-        }
-    return {
-        "dynamic.event_p50_ms": statistics.median(events) * 1e3,
-        "dynamic.event_p99_ms": statistics.quantiles(
-            events, n=100, method="inclusive"
-        )[98] * 1e3,
-        "dynamic.query_us": statistics.median(calls) * 1e6,
-    }
-
-
 def layer_metrics(
     tracer: Tracer,
     pools: list,
     traced: Sequence[Any],
     untraced: Sequence[Any],
     setup: dict[str, float],
-    counters: dict[str, float],
 ) -> dict[str, float]:
     """Every per-layer metric, per traced iteration where it is a sum."""
     iterations = len(traced)
@@ -220,10 +180,6 @@ def layer_metrics(
     out["parallel.retries"] = sum(
         1 for pool in pools for e in pool.events if e.kind == "retry"
     ) / iterations
-    out["dynamic.settle_rounds"] = sum(o.settle_rounds for o in traced) / iterations
-    out["dynamic.compactions"] = sum(o.compactions for o in traced) / iterations
-    out["dynamic.repair_ratio"] = counters.get("repair_ratio", 0.0)
-    out.update(churn_latencies(untraced))
     out["trace.overhead_s"] = statistics.median(
         o.wall_s for o in traced
     ) - statistics.median(o.wall_s for o in untraced)

@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload single-2e20 --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload single-2e20 --seed 1 --seconds 20 --trace 0
 
 The command runs in three kinds of process.  This one orchestrates and
 never imports ``repro``.  With ``--trace 0`` it first starts two *probe*
@@ -18,7 +18,7 @@ gave the same results, and reports the per-layer metrics.
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  Any failed
 operation makes the run exit with code 1, after naming the workload,
-seed and offset on standard error.  Spans go to
+seed and iteration on standard error.  Spans go to
 ``.perfbench/traces/`` and every run appends a record with the machine
 fingerprint to ``.perfbench/history.jsonl``.
 """
@@ -44,11 +44,13 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 #: The keys of ``perfbench.workloads.WORKLOADS``, which imports ``repro``.
-WORKLOAD_NAMES = ("single-2e20", "fleet-2e16", "sweep-jobs2", "churn-2e16")
+WORKLOAD_NAMES = ("single-2e20", "fleet-2e16", "sweep-jobs2")
 #: Set-up samples taken in fresh interpreters before the measure process.
 PROBES = 2
-#: The whole command must end within this many seconds.
-DEADLINE_S = 170.0
+#: The whole command must end within this many seconds (the set-ups)
+#: plus ``(2 + trace) * seconds``: the timed iterations, the overrun of
+#: the last one and, with ``--trace 1``, the traced rerun of as many.
+DEADLINE_MARGIN_S = 110.0
 
 E2E_UNITS = {
     "setup_s": "s",
@@ -121,7 +123,7 @@ def _timed(
 
 def _tally(outcomes: list) -> tuple[int, list[str]]:
     """Operations attempted by iterations 1, 2, ..., and their failures."""
-    attempted = sum(o.ops + o.queries for o in outcomes)
+    attempted = sum(o.ops for o in outcomes)
     failures = [
         f"iteration {i}: {msg}"
         for i, o in enumerate(outcomes, start=1)
@@ -131,28 +133,20 @@ def _tally(outcomes: list) -> tuple[int, list[str]]:
 
 
 def run_probe(args: argparse.Namespace, workdir: Path) -> dict[str, Any]:
-    workload, warm, times = _setup(args, workdir)
-    try:
-        failures = [f"warm-up: {m}" for m in warm.failures]
-        return {"setup": times, "attempted": warm.ops + warm.queries,
-                "failures": failures}
-    finally:
-        workload.close()
+    _, warm, times = _setup(args, workdir)
+    failures = [f"warm-up: {m}" for m in warm.failures]
+    return {"setup": times, "attempted": warm.ops, "failures": failures}
 
 
 def run_measure(args: argparse.Namespace, workdir: Path) -> dict[str, Any]:
     from perfbench.spans import NullTracer
 
     workload, warm, setup = _setup(args, workdir)
-    try:
-        untraced = _timed(workload, NullTracer(), seconds=args.seconds)
-        failures = [f"warm-up: {m}" for m in warm.failures]
-        failures += [f"final state: {m}" for m in workload.final_check()]
-        attempted, timed_failures = _tally(untraced)
-        attempted += warm.ops + warm.queries
-        failures += timed_failures
-    finally:
-        workload.close()
+    untraced = _timed(workload, NullTracer(), seconds=args.seconds)
+    failures = [f"warm-up: {m}" for m in warm.failures]
+    attempted, timed_failures = _tally(untraced)
+    attempted += warm.ops
+    failures += timed_failures
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if workload.counts_children:
         rss_kb += resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
@@ -172,9 +166,6 @@ def run_measure(args: argparse.Namespace, workdir: Path) -> dict[str, Any]:
             "peak_rss_mb": rss_kb / 1024.0,
         },
     }
-    from perfbench.layers import churn_latencies
-
-    result["details"] = churn_latencies(untraced) if untraced[0].event_s else {}
     if args.trace:
         traced_result = _run_traced(args, workdir, untraced, setup)
         result["attempted"] += traced_result["attempted"]
@@ -190,35 +181,24 @@ def _run_traced(
     """Rebuild, rerun the same iterations with spans, compare results."""
     from perfbench import layers
     from perfbench.spans import NullTracer, Tracer, summary_text
-    from perfbench.workloads import WORKLOADS, LiveChurnStream
+    from perfbench.workloads import WORKLOADS
 
     workload = WORKLOADS[args.workload](args.seed, workdir / "traced")
     tracer = Tracer()
+    workload.build()
+    warm = workload.iteration(0, NullTracer())
+    pools = layers.install(tracer)
     try:
-        workload.build()
-        warm = workload.iteration(0, NullTracer())
-        pools = layers.install(
-            tracer, [(LiveChurnStream, "event_at", "dynamic.event_at")]
-        )
-        try:
-            traced = _timed(workload, tracer, count=len(untraced))
-        finally:
-            tracer.unpatch_all()
-        failures = [f"traced warm-up: {m}" for m in warm.failures]
-        failures += [f"traced final state: {m}" for m in workload.final_check()]
-        attempted, timed_failures = _tally(traced)
-        failures += [f"traced {m}" for m in timed_failures]
-        for i, (a, b) in enumerate(zip(untraced, traced), start=1):
-            if a.digest != b.digest:
-                failures.append(
-                    f"iteration {i}: traced result differs from untraced"
-                )
-        counters = workload.counters()
+        traced = _timed(workload, tracer, count=len(untraced))
     finally:
-        workload.close()
-    metrics = layers.layer_metrics(
-        tracer, pools, traced, untraced, setup, counters
-    )
+        tracer.unpatch_all()
+    failures = [f"traced warm-up: {m}" for m in warm.failures]
+    attempted, timed_failures = _tally(traced)
+    failures += [f"traced {m}" for m in timed_failures]
+    for i, (a, b) in enumerate(zip(untraced, traced), start=1):
+        if a.digest != b.digest:
+            failures.append(f"iteration {i}: traced result differs from untraced")
+    metrics = layers.layer_metrics(tracer, pools, traced, untraced, setup)
     traces = OUT / "traces"
     traces.mkdir(parents=True, exist_ok=True)
     stem = f"{args.workload}-seed{args.seed}-{time.strftime('%Y%m%dT%H%M%S')}"
@@ -227,7 +207,7 @@ def _run_traced(
     tracer.write_jsonl(spans_path)
     summary_path.write_text(summary_text(tracer.spans, len(traced)) + "\n")
     return {
-        "attempted": warm.ops + warm.queries + attempted,
+        "attempted": warm.ops + attempted,
         "failures": failures,
         "layers": metrics,
         "files": [str(spans_path.relative_to(ROOT)),
@@ -315,8 +295,7 @@ def _print_report(
     print(f"machine  nproc={fp['nproc']} affinity={fp['affinity']} "
           f"cpu={fp['cpu_model']!r} blas={fp['blas']} env={fp['env']}")
     print(f"versions python={fp['python']} numpy={fp['numpy']} "
-          f"scipy={fp['scipy']} commit={fp['commit']} "
-          f"src_sha256={fp['src_sha256'][:16]}")
+          f"scipy={fp['scipy']} commit={fp['commit']}")
     for i, s in enumerate(setups):
         print(f"setup[{i}]  import {s['import_s']:.3f} s  build "
               f"{s['build_s']:.3f} s  warm-up {s['warmup_s']:.3f} s  "
@@ -324,11 +303,6 @@ def _print_report(
     for name, value in metrics.items():
         note = f"  (median of {measured['samples']})" if name == "wall_s" else ""
         print(f"{name:<32}{value:>16.6g} {units[name]}{note}")
-    if not args.trace:
-        from perfbench.layers import PER_LAYER_UNITS
-
-        for name, value in measured["details"].items():
-            print(f"{name:<32}{value:>16.6g} {PER_LAYER_UNITS[name]}")
     failed = len(measured["failures"])
     print(f"{'failed_frac':<32}{failed / max(1, measured['attempted']):>16.6g} "
           f"({failed} of {measured['attempted']} operations)")
@@ -346,7 +320,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"perfbench: no program sources at {ROOT / 'src' / 'repro'}",
               file=sys.stderr)
         return 2
-    deadline = time.monotonic() + DEADLINE_S
+    deadline = time.monotonic() + DEADLINE_MARGIN_S + (
+        2 + args.trace
+    ) * args.seconds
     # A SIGTERM unwinds through _spawn, which stops the running child.
     signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
@@ -385,7 +361,6 @@ def main(argv: list[str] | None = None) -> int:
         "walls": measured["walls"],
         "setups": setups,
         "metrics": metrics,
-        "details": measured.get("details", {}),
         "attempted": attempted,
         "failures": failures[:50],
         "fingerprint": fp,

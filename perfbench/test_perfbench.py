@@ -130,48 +130,6 @@ def test_same_seed_gives_same_inputs(tmp_path):
     assert workloads.derive(5, "start", 3, 2) != workloads.derive(5, "start", 4, 2)
 
 
-def test_same_seed_gives_same_churn_stream_and_queries(tmp_path):
-    first, second = (
-        workloads.Churn(3, tmp_path / name) for name in ("first", "second")
-    )
-    try:
-        for w in (first, second):
-            w.build()
-        assert np.array_equal(
-            first.service.overlay.base.indices,
-            second.service.overlay.base.indices,
-        )
-        assert np.array_equal(
-            first._queries.integers(0, 1 << 16, 64),
-            second._queries.integers(0, 1 << 16, 64),
-        )
-        events = [
-            (first.stream.event_at(k, first.service.overlay),
-             second.stream.event_at(k, second.service.overlay))
-            for k in range(40)
-        ]
-        assert all(x == y for x, y in events)
-        assert events[16][0].kind == "del-vertex"
-    finally:
-        first.close()
-        second.close()
-
-
-def test_live_churn_stream_leaves_dead_vertices_alone():
-    from repro.dynamic import DeltaOverlay
-    from repro.graphs import Graph
-
-    overlay = DeltaOverlay(Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]))
-    for dead in (1, 3):
-        overlay.remove_vertex(dead)
-    stream = workloads.LiveChurnStream(6, seed=9, period=17)
-    for offset in range(64):
-        if offset % 17 == 16:
-            continue
-        event = stream.event_at(offset, overlay)
-        assert overlay.alive[event.u] and overlay.alive[event.v]
-
-
 def test_benchmark_json_matches_the_harness():
     spec = json.loads(
         (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text()

@@ -1,4 +1,4 @@
-"""The benchmark's four workloads.
+"""The benchmark's workloads.
 
 Each workload builds its inputs from the benchmark seed alone, then runs
 timed iterations through the program's public API the way a user would.
@@ -7,7 +7,7 @@ answers happens outside its timers.  Calls go through module attributes
 (``random_graphs.gnp_random_graph``, ``montecarlo.sweep_stabilization_times``,
 ...) so that the traced run's patches see them.
 
-Why these four (see also README.md in this directory):
+Why these three (see also README.md in this directory):
 
 * ``single-2e20`` is the headline entry point: one large run of each
   process, where coins, neighbour reductions and the frontier engine do
@@ -17,9 +17,6 @@ Why these four (see also README.md in this directory):
 * ``sweep-jobs2`` is the experiments-CLI campaign path: per-trial graph
   generation, a two-worker supervised pool and a checkpoint journal,
   with one dense grid point where batching wins.
-* ``churn-2e16`` is the only workload that exercises ``repro.dynamic``:
-  a journaled MIS service under uniform churn with periodic hub
-  deletions, queried after every event.
 """
 
 from __future__ import annotations
@@ -27,14 +24,13 @@ from __future__ import annotations
 import hashlib
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from repro.core import ThreeStateMIS, TwoStateMIS
-from repro.dynamic import MISService, MutationEvent, MutationStream, make_stream
 from repro.graphs import random_graphs
 from repro.sim import montecarlo, runner
 
@@ -61,10 +57,9 @@ class Outcome:
     """What one iteration did, for the metrics and the checks.
 
     ``wall_s`` covers only the timed calls into the program.  ``ops``
-    counts runs, trials or events and ``queries`` the ``is_member`` calls
-    made after them; ``failures`` holds one message per failed operation
-    of either kind.  ``digest`` must be equal between the untraced and
-    the traced run of the same iteration.
+    counts runs or trials; ``failures`` holds one message per failed
+    operation.  ``digest`` must be equal between the untraced and the
+    traced run of the same iteration.
     """
 
     wall_s: float
@@ -72,12 +67,7 @@ class Outcome:
     vertex_rounds: int
     failures: list[str]
     digest: Any
-    queries: int = 0
     journal_bytes: int = 0
-    event_s: list[float] = field(default_factory=list)
-    query_call_s: list[float] = field(default_factory=list)
-    settle_rounds: int = 0
-    compactions: int = 0
 
 
 class Workload:
@@ -97,17 +87,6 @@ class Workload:
 
     def iteration(self, index: int, tracer: Any) -> Outcome:
         raise NotImplementedError
-
-    def final_check(self) -> list[str]:
-        """Checks on the state left after the last iteration."""
-        return []
-
-    def counters(self) -> dict[str, float]:
-        """Layer counters the program keeps itself."""
-        return {}
-
-    def close(self) -> None:
-        """Release files and processes."""
 
 
 def _check_members(graph: Any, members: np.ndarray, what: str) -> str | None:
@@ -312,153 +291,6 @@ class Sweep(Workload):
         )
 
 
-class LiveChurnStream(MutationStream):
-    """Uniform edge toggles among live vertices, and periodic hub deletions.
-
-    Offsets ``period-1, 2*period-1, ...`` delete the current
-    highest-degree vertex (the hub stream's deletion events); every
-    other offset toggles a uniformly random pair of live vertices.
-    Departed vertices take no part in churn.
-    """
-
-    kind = "perfbench-live-churn"
-
-    def __init__(self, n: int, seed: int = 0, period: int = 17) -> None:
-        super().__init__(n, seed)
-        self.period = int(period)
-        self._hubs = make_stream("hub", n, seed)
-
-    def _params(self) -> dict[str, Any]:
-        return {"period": self.period}
-
-    def event_at(self, offset: int, overlay: Any) -> MutationEvent:
-        block, slot = divmod(offset, self.period)
-        if slot == self.period - 1:
-            # Even offsets of the hub stream are always deletions.
-            return self._hubs.event_at(2 * block, overlay)
-        rng = self._rng(offset)
-        alive = overlay.alive
-        u = rng.randrange(self.n)
-        while not alive[u]:
-            u = rng.randrange(self.n)
-        v = rng.randrange(self.n)
-        while v == u or not alive[v]:
-            v = rng.randrange(self.n)
-        if overlay.has_edge(u, v):
-            return MutationEvent("del-edge", u, v)
-        return MutationEvent("add-edge", u, v)
-
-
-class Churn(Workload):
-    """A journaled ``MISService`` on G(2^16, 3/n) under a closed loop.
-
-    One client consumes the stream one event at a time and, after each
-    event, asks ``is_member`` for a fixed-size batch of vertices.  An
-    iteration is one period of the stream: 16 uniform events and one
-    hub deletion.
-    """
-
-    name = "churn-2e16"
-    N = 1 << 16
-    C = 3.0
-    PERIOD = 17
-    QUERIES = 256
-    CHECKPOINT_EVERY = 16
-
-    def build(self) -> None:
-        graph = random_graphs.gnp_random_graph(
-            self.N, self.C / self.N, rng=derive(self.seed, "graph")
-        )
-        self.stream = LiveChurnStream(
-            self.N, derive(self.seed, "stream"), self.PERIOD
-        )
-        self.journal = self.workdir / "churn.jsonl"
-        self.service = MISService(
-            graph,
-            self.stream,
-            seed=derive(self.seed, "coins"),
-            checkpoint=str(self.journal),
-            checkpoint_every=self.CHECKPOINT_EVERY,
-            resume=False,
-        )
-        self._queries = np.random.default_rng(derive(self.seed, "queries"))
-
-    def _ask(self, vertices: list[int]) -> list[bool]:
-        member = self.service.is_member
-        return [member(u) for u in vertices]
-
-    def iteration(self, index: int, tracer: Any) -> Outcome:
-        service = self.service
-        consume = tracer.wrap("dynamic.service_run", service.run)
-        ask = tracer.wrap(
-            "dynamic.query_batch", self._ask, lambda a, k, r: len(r)
-        )
-        size_before = self.journal.stat().st_size
-        out = Outcome(0.0, self.PERIOD, 0, [], None)
-        records = []
-        for _ in range(self.PERIOD):
-            offset = service.next_offset
-            vertices = self._queries.integers(0, self.N, self.QUERIES).tolist()
-            start = time.perf_counter()
-            try:
-                produced = consume(offset + 1)
-                mid = time.perf_counter()
-                answers = ask(vertices)
-            except Exception as exc:
-                out.wall_s += time.perf_counter() - start
-                out.failures.append(f"event at offset {offset} raised {exc!r}")
-                continue
-            end = time.perf_counter()
-            out.wall_s += end - start
-            out.event_s.append(mid - start)
-            out.query_call_s.append((end - mid) / self.QUERIES)
-            out.queries += self.QUERIES
-            record = produced[-1]
-            records.append(tuple(record.to_dict().values()))
-            out.settle_rounds += record.rounds
-            out.compactions += int(record.compacted)
-            out.vertex_rounds += self.N * record.rounds
-            if len(produced) != 1 or not record.stabilized:
-                out.failures.append(
-                    f"event at offset {offset} did not re-stabilize"
-                )
-                continue
-            members = mask_of(self.N, service.mis())
-            wrong = np.flatnonzero(np.asarray(answers) != members[vertices])
-            out.failures += [
-                f"is_member({vertices[j]}) after offset {offset} "
-                "disagrees with mis()"
-                for j in wrong.tolist()
-            ]
-        out.journal_bytes = self.journal.stat().st_size - size_before
-        out.digest = (tuple(records), digest_array(service.mis()))
-        return out
-
-    def final_check(self) -> list[str]:
-        service = self.service
-        snapshot = service.overlay.snapshot()
-        problem = mis_violation(
-            snapshot.indptr,
-            snapshot.indices,
-            mask_of(self.N, service.mis()),
-            alive=service.overlay.alive,
-        )
-        if problem is None:
-            return []
-        return [f"final mis() at offset {service.next_offset}: {problem}"]
-
-    def counters(self) -> dict[str, float]:
-        service = self.service
-        decisions = service.repairs + service.rebuilds
-        return {
-            "repair_ratio": service.repairs / decisions if decisions else 0.0
-        }
-
-    def close(self) -> None:
-        self.service.close()
-        self.journal.unlink(missing_ok=True)
-
-
 WORKLOADS: dict[str, type[Workload]] = {
-    cls.name: cls for cls in (SingleRun, Fleet, Sweep, Churn)
+    cls.name: cls for cls in (SingleRun, Fleet, Sweep)
 }
