@@ -171,7 +171,12 @@ def _check_fleet(
 
 
 class Fleet(Workload):
-    """128 2-state trials on one shared G(2^16, 3/n), default arguments."""
+    """128 2-state trials on one shared G(2^16, 3/n), default arguments.
+
+    Each iteration draws its trial seeds from (seed, iteration), as
+    ``SingleRun`` draws its starts, so a run's median averages over many
+    trajectories rather than repeating one.
+    """
 
     name = "fleet-2e16"
     N = 1 << 16
@@ -197,7 +202,10 @@ class Fleet(Workload):
         start = time.perf_counter()
         try:
             stats = montecarlo.estimate_stabilization_time(
-                factory, trials=self.TRIALS, max_rounds=BUDGET, seed=self.master
+                factory,
+                trials=self.TRIALS,
+                max_rounds=BUDGET,
+                seed=derive(self.master, index),
             )
         except Exception as exc:
             wall = time.perf_counter() - start
@@ -221,13 +229,15 @@ class Sweep(Workload):
 
     Every trial resamples its graph, and every iteration writes a fresh
     checkpoint journal, as ``python -m repro.experiments --jobs 2
-    --checkpoint`` would.
+    --checkpoint`` would.  Trial seeds come from (seed, iteration), as in
+    ``Fleet``.  Sixteen trials per point keep an iteration near one
+    second, so a run's median is taken over a few dozen of them.
     """
 
     name = "sweep-jobs2"
     counts_children = True
     GRID = ((1024, 3.0), (4096, 3.0), (512, 25.0), (2048, 12.0))
-    TRIALS = 64
+    TRIALS = 16
     JOBS = 2
 
     def build(self) -> None:
@@ -258,7 +268,7 @@ class Sweep(Workload):
                 list(self.GRID),
                 trials=self.TRIALS,
                 max_rounds=BUDGET,
-                seed=self.master,
+                seed=derive(self.master, index),
                 n_jobs=self.JOBS,
                 checkpoint=str(journal),
                 resume=False,
