@@ -73,7 +73,7 @@ churn-smoke:     ## dynamic-service self-check (overlay/repair/resume doctor) + 
 	$(PYTHON) -m repro.dynamic --doctor
 	$(PYTHON) -m repro.experiments run E20
 
-ci: lint test check-docs bench-smoke doctor chaos-smoke churn-smoke   ## what the CI workflow runs
+ci: lint test check-docs bench-smoke bench-fast check-bench doctor chaos-smoke churn-smoke   ## what the CI workflow runs
 
 bench-smoke:     ## CI-scale regression smoke (batched engines, substrate, frontier, fleet sharding, churn, E19)
 	BENCH_FAST=1 $(PYTHON) benchmarks/bench_batched_families.py

@@ -194,7 +194,7 @@ def parallel_entries(commit: str) -> list[dict]:
     floor = bps.scaling_floor(bps.WORKERS, full=False)
     label = (
         f"{bps.TRIALS} x 2-state G(n={bps.N}, 3/n), {bps.WORKERS} shards, "
-        f"pool width {bps.resolve_n_jobs(bps.WORKERS)} "
+        f"SupervisedPool width {bps.resolve_n_jobs(bps.WORKERS)} "
         f"({bps.cpu_count()} usable core(s))"
     )
     return [

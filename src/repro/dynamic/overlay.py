@@ -174,10 +174,16 @@ class DeltaOverlay:
 
     # -- mutators --------------------------------------------------------
     def add_edge(self, u: int, v: int) -> bool:
-        """Insert edge ``{u, v}``; returns whether the topology changed."""
+        """Insert edge ``{u, v}``; returns whether the topology changed.
+
+        An edge with a dead endpoint is a no-op: dead vertices stay
+        isolated.
+        """
         u, v = self._check_vertex(u), self._check_vertex(v)
         if u == v:
             raise ValueError(f"self-loop ({u}, {u}) is not allowed")
+        if not (self.alive[u] and self.alive[v]):
+            return False
         key = self._key(u, v)
         if key in self._removed:
             self._removed.discard(key)
@@ -225,7 +231,8 @@ class DeltaOverlay:
         """Revive slot ``u`` and attach it to ``neighbors``.
 
         Returns the inserted edges' endpoint arrays ``(add_us, add_vs)``
-        (self-loops, duplicates, and already-present edges are skipped).
+        (self-loops, duplicates, already-present edges, and dead
+        neighbours are skipped).
         """
         u = self._check_vertex(u)
         self.alive[u] = True
@@ -247,8 +254,8 @@ class DeltaOverlay:
         ``(add_us, add_vs, rem_us, rem_vs)`` — the edges that actually
         changed, which is what
         :meth:`~repro.core.frontier.FrontierAggregates.apply_topology_delta`
-        consumes.  No-op events (inserting a present edge, deleting an
-        absent one) return four empty arrays.
+        consumes.  No-op events (inserting a present edge or one with a
+        dead endpoint, deleting an absent one) return four empty arrays.
         """
         kind = event.kind  # type: ignore[attr-defined]
         if kind == "add-edge":

@@ -10,18 +10,18 @@ in PR 9:
   unlink-on-exit hygiene on every path (including the atexit/SIGTERM
   backstop's :func:`unlink_all_stores`).
 * :mod:`~repro.parallel.jobs` — the swap pickler that replaces graph /
-  CSR / NeighborOps references with tokens, plus the
-  :class:`JobQueue` job-spec transport that replaced factory pickling.
-* :mod:`~repro.parallel.pool` — the persistent :class:`WorkerPool`
-  (crash detection, stop sentinels, ``n_jobs`` resolution) and the
-  shared teardown machinery: the join → terminate → kill escalation,
-  zombie reporting, and :func:`install_signal_backstop`.
-* :mod:`~repro.parallel.worker` — the dumb module-level worker loop,
-  with the chaos-policy fault hook.
-* :mod:`~repro.parallel.supervisor` — the self-healing
-  :class:`SupervisedPool`: worker respawn, bounded shard retry with
+  CSR / NeighborOps references with tokens, and the :class:`ShardJob`
+  / :class:`ShardResult` wire format.
+* :mod:`~repro.parallel.supervisor` — :class:`SupervisedPool`, the one
+  persistent worker pool: worker respawn, bounded shard retry with
   exponential backoff (:mod:`~repro.parallel.retry`), per-shard
   deadlines with in-process degradation, poisoned-result quarantine.
+* :mod:`~repro.parallel.pool` — :class:`WorkerCrashError`,
+  ``n_jobs`` resolution and the shared teardown machinery: the join →
+  terminate → kill escalation, zombie reporting, and
+  :func:`install_signal_backstop`.
+* :mod:`~repro.parallel.worker` — the dumb module-level worker loop,
+  with the chaos-policy fault hook.
 * :mod:`~repro.parallel.chaos` — the deterministic fault injector
   (:class:`ChaosPolicy`) that makes every recovery path reproducibly
   testable.
@@ -65,14 +65,12 @@ from repro.parallel.fleet import (
 )
 from repro.parallel.jobs import (
     GraphRegistry,
-    JobQueue,
     ShardJob,
     ShardResult,
 )
 from repro.parallel.pool import (
     WORKER_NAME_PREFIX,
     WorkerCrashError,
-    WorkerPool,
     cpu_count,
     install_signal_backstop,
     resolve_n_jobs,
@@ -90,7 +88,6 @@ from repro.parallel.supervisor import (
     SupervisedPool,
     SupervisionEvent,
     iter_chaos_fault_plan,
-    supervised_pool_for,
 )
 from repro.parallel.worker import run_shard, worker_main
 
@@ -100,7 +97,6 @@ __all__ = [
     "ChaosPolicy",
     "FAULT_KINDS",
     "GraphRegistry",
-    "JobQueue",
     "POISON_PAYLOAD",
     "RetryPolicy",
     "ShardFailedError",
@@ -113,7 +109,6 @@ __all__ = [
     "SupervisionEvent",
     "WORKER_NAME_PREFIX",
     "WorkerCrashError",
-    "WorkerPool",
     "adopt_state",
     "cpu_count",
     "default_n_jobs",
@@ -132,7 +127,6 @@ __all__ = [
     "shard_key",
     "shard_ranges",
     "shutdown_processes",
-    "supervised_pool_for",
     "unlink_all_stores",
     "worker_main",
 ]

@@ -27,16 +27,11 @@ CPUs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.graphs.graph import Graph
-from repro.parallel.jobs import (
-    GraphRegistry,
-    JobQueue,
-    ShardJob,
-    ShardResult,
-)
-from repro.parallel.pool import WorkerPool, resolve_n_jobs
+from repro.parallel.jobs import GraphRegistry, ShardJob, ShardResult
+from repro.parallel.pool import resolve_n_jobs
 from repro.parallel.shared_graph import SharedGraphStore
 from repro.parallel.supervisor import SupervisedPool
 from repro.parallel.worker import run_shard
@@ -67,7 +62,9 @@ def shard_ranges(count: int, shards: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def fleet_shards(n_jobs: int | str | None, pool: Any | None) -> int:
+def fleet_shards(
+    n_jobs: int | str | None, pool: SupervisedPool | None
+) -> int:
     """Shard count implied by an ``n_jobs`` spec and/or an explicit pool.
 
     An explicit ``n_jobs`` wins (unclamped — shard shapes are
@@ -75,7 +72,7 @@ def fleet_shards(n_jobs: int | str | None, pool: Any | None) -> int:
     """
     if n_jobs is not None:
         return resolve_n_jobs(n_jobs, clamp=False)
-    return int(pool.workers) if pool is not None else 1
+    return pool.workers if pool is not None else 1
 
 
 def shard_key(lo: int, hi: int) -> str:
@@ -119,7 +116,7 @@ def run_fleet_sharded(
     batch: str | int | None,
     engine: str,
     n_jobs: int | str | None,
-    pool: SupervisedPool | WorkerPool | None = None,
+    pool: SupervisedPool | None = None,
     journal: "CheckpointView | None" = None,
 ) -> list[RunResult]:
     """Run a fleet sharded across supervised worker processes.
@@ -133,10 +130,7 @@ def run_fleet_sharded(
     ``pool=None`` spins up a private :class:`SupervisedPool` of
     ``min(shards, resolve_n_jobs(n_jobs))`` workers and closes it
     before returning; passing a persistent pool amortizes worker
-    startup across calls (the sweep path does).  A legacy
-    :class:`~repro.parallel.pool.WorkerPool` is still accepted and
-    dispatches through the PR 8 fail-fast
-    :class:`~repro.parallel.jobs.JobQueue` path.  The published graph
+    startup across calls (the sweep path does).  The published graph
     store is unlinked on every exit path, including worker crashes and
     retry exhaustion.
 
@@ -186,21 +180,12 @@ def run_fleet_sharded(
                     )
                     for lo, hi in pending
                 ]
-                if isinstance(pool, SupervisedPool):
-                    outcomes = _run_supervised(
-                        pool, jobs, registry, journal
-                    )
-                else:
-                    outcomes = _run_legacy(pool, jobs)
+                outcomes = _run_supervised(pool, jobs, registry, journal)
             finally:
                 if own_pool and pool is not None:
                     pool.close()
         for key, result in outcomes.items():
             payloads[key] = result.payload
-            # The supervised path journals incrementally via on_result;
-            # the legacy path can only journal after the barrier.
-            if journal is not None and not isinstance(pool, SupervisedPool):
-                journal.put_bytes(shard_key(*key), result.payload)
 
     results: list[RunResult | None] = [None] * len(processes)
     for (lo, hi), payload in payloads.items():
@@ -252,15 +237,3 @@ def _run_supervised(
         on_result=on_result,
     )
 
-
-def _run_legacy(
-    pool: WorkerPool, jobs: list[ShardJob]
-) -> dict[tuple[int, int], ShardResult]:
-    """PR 8 fail-fast dispatch through a plain WorkerPool (no retry)."""
-    queue = JobQueue(pool)
-    submitted = [(queue.submit(job), tuple(job.indices)) for job in jobs]
-    outcomes = queue.wait_all()
-    return {
-        (indices[0], indices[1]): outcomes[job_id]
-        for job_id, indices in submitted
-    }

@@ -12,11 +12,10 @@ caller back processes that reference the caller's *own* graph and ops
 instances.  Adjacency structure never crosses a queue; what does cross
 is O(shard size × n) bytes of process state.
 
-:class:`ShardJob` / :class:`ShardResult` are the wire format, and
-:class:`JobQueue` is the master-side bookkeeping that feeds them
-through a :class:`~repro.parallel.pool.WorkerPool` — sweeps, fault
-campaigns and experiment workloads all reduce to submitting shard jobs,
-which is what replaces the legacy factory-pickling path.
+:class:`ShardJob` / :class:`ShardResult` are the wire format that
+:class:`~repro.parallel.supervisor.SupervisedPool` carries: fleets,
+sweeps, fault campaigns and experiment workloads all reduce to shard
+jobs, so no process factory is ever pickled.
 """
 
 from __future__ import annotations
@@ -24,14 +23,11 @@ from __future__ import annotations
 import io
 import pickle
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
 from repro.core import neighbor_ops as _nops
 from repro.graphs.graph import Graph
 from repro.parallel.shared_graph import SharedGraphHandle
-
-if TYPE_CHECKING:
-    from repro.parallel.pool import WorkerPool
 
 #: NeighborOps classes eligible for token swapping (rebuildable from a
 #: graph alone).  Instances of other subclasses pickle by value.
@@ -184,38 +180,3 @@ class ShardResult:
 
     indices: tuple[int, int]
     payload: bytes
-
-
-class JobQueue:
-    """Master-side bookkeeping of in-flight shard jobs on one pool.
-
-    Thin by design (the Ganeti-jqueue split): the queue owns *which*
-    jobs are outstanding, the pool owns the transport, and the workers
-    stay dumb executors.  One queue can feed many submission rounds —
-    a whole sweep reuses a single queue over a single persistent pool.
-    """
-
-    def __init__(self, pool: "WorkerPool") -> None:
-        self._pool = pool
-        self._pending: set[int] = set()
-
-    @property
-    def pool(self) -> "WorkerPool":
-        """The pool this queue submits to."""
-        return self._pool
-
-    def submit(self, job: ShardJob) -> int:
-        """Enqueue a shard job; returns its id."""
-        job_id = self._pool.submit(job)
-        self._pending.add(job_id)
-        return job_id
-
-    def wait_all(self) -> dict[int, ShardResult]:
-        """Block until every pending job finished; results by job id.
-
-        Raises :class:`~repro.parallel.pool.WorkerCrashError` if a
-        worker dies first, and re-raises worker-side exceptions.
-        """
-        pending = self._pending
-        self._pending = set()
-        return self._pool.collect(pending)

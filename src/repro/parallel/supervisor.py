@@ -1,9 +1,10 @@
 """Self-healing worker pool: supervision, retry, deadlines, degradation.
 
-PR 8's :class:`~repro.parallel.pool.WorkerPool` detects a dead worker
-only to abort the whole campaign with a fatal
-:class:`~repro.parallel.pool.WorkerCrashError`.  The
-:class:`SupervisedPool` here makes the execution substrate as
+:class:`SupervisedPool` is the one worker pool of :mod:`repro.parallel`.
+Its workers are long-lived — a published graph store amortizes over
+every shard of a whole sweep — and take swap-pickled shard payloads
+(:mod:`repro.parallel.jobs`), which a stock ``concurrent.futures`` pool
+could not token-swap.  It makes the execution substrate as
 self-stabilizing as the algorithm it simulates: crashed workers are
 respawned and their in-flight shards re-dispatched with bounded,
 exponentially backed-off retries; shards that out-live a per-shard
@@ -120,7 +121,8 @@ class SupervisedPool:
         Deterministic fault injector threaded into every worker;
         ``None`` means the config default (normally: no chaos).
     start_method:
-        As for :class:`~repro.parallel.pool.WorkerPool`.
+        ``multiprocessing`` start method; default is ``"fork"`` where
+        available (cheap, inherits imports) and ``"spawn"`` elsewhere.
 
     Use as a context manager or call :meth:`close` in a ``finally``;
     the atexit/SIGTERM backstop of :mod:`repro.parallel.pool` catches
@@ -425,10 +427,12 @@ class SupervisedPool:
     def close(self) -> list[int]:
         """Stop the workers and release the queues (idempotent).
 
-        Same contract as :meth:`WorkerPool.close
-        <repro.parallel.pool.WorkerPool.close>`: sentinel, then the
-        join → terminate → kill escalation, with survivors reported
-        via :class:`RuntimeWarning` and returned as pids.
+        Live workers get a stop sentinel and a grace period, then the
+        full join → terminate → kill escalation
+        (:func:`~repro.parallel.pool.shutdown_processes`).  Workers
+        that survive even ``kill()`` are reported with a
+        :class:`RuntimeWarning` and returned as a pid list; a clean
+        shutdown returns ``[]``.
         """
         if self._closed:
             return []
@@ -459,17 +463,6 @@ class SupervisedPool:
         tb: TracebackType | None,
     ) -> None:
         self.close()
-
-
-def supervised_pool_for(
-    jobs: int, n_jobs: int | str | None, **kwargs: Any
-) -> SupervisedPool:
-    """A SupervisedPool sized for ``jobs`` shards under an ``n_jobs`` spec."""
-    from repro.parallel.pool import resolve_n_jobs
-
-    return SupervisedPool(
-        max(1, min(jobs, resolve_n_jobs(n_jobs))), **kwargs
-    )
 
 
 def iter_chaos_fault_plan(

@@ -84,9 +84,7 @@ def worker_main(
             break
         job_id, job = task
         if chaos is not None:
-            fault = chaos.fault_for(
-                tuple(job.indices), getattr(job, "attempt", 0)
-            )
+            fault = chaos.fault_for(tuple(job.indices), job.attempt)
             if fault == "kill":
                 # Flush buffered results first: dying while this
                 # worker's queue feeder holds the shared write lock

@@ -21,15 +21,13 @@ Multi-core execution goes through :mod:`repro.parallel`:
 into per-worker replica ranges against shared-memory graph views
 (statistics bitwise-identical to serial for any worker count), and
 ``sweep_stabilization_times`` dispatches every grid point's fleet
-through one persistent worker pool by default (``dispatch="fleet"``) —
-the factory never crosses a process boundary, so lambdas and closures
-parallelize like everything else.  The legacy per-grid-point pool
-(``dispatch="points"``) remains for picklable factories.
+through one persistent :class:`~repro.parallel.supervisor.SupervisedPool`
+— the factory never crosses a process boundary, so lambdas and closures
+parallelize like everything else.
 """
 
 from __future__ import annotations
 
-import pickle
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -49,7 +47,6 @@ from repro.sim.runner import (
 )
 
 if TYPE_CHECKING:
-    from repro.parallel.pool import WorkerPool
     from repro.parallel.supervisor import SupervisedPool
 
 
@@ -189,7 +186,7 @@ def estimate_stabilization_time(
     batch: str | int | None = "auto",
     engine: str = "auto",
     n_jobs: int | str | None = None,
-    pool: "WorkerPool | SupervisedPool | None" = None,
+    pool: "SupervisedPool | None" = None,
     checkpoint: "str | Path | CheckpointJournal | CheckpointView | None" = (
         None
     ),
@@ -297,7 +294,7 @@ def _estimate_journaled(
     batch: str | int | None,
     engine: str,
     n_jobs: int | str | None,
-    pool: "WorkerPool | SupervisedPool | None",
+    pool: "SupervisedPool | None",
     journal: "CheckpointJournal | CheckpointView | None",
 ) -> TrialStats:
     """The estimate body, with an optional journal threaded through."""
@@ -470,16 +467,13 @@ class SweepResult(Mapping):
 def _sweep_point(
     payload: tuple,
     n_jobs: int | str | None = None,
-    pool: "WorkerPool | SupervisedPool | None" = None,
+    pool: "SupervisedPool | None" = None,
     journal: "CheckpointJournal | CheckpointView | None" = None,
 ) -> TrialStats:
-    """Evaluate one grid point (module-level so process pools can pickle it).
+    """Evaluate one grid point.
 
-    The legacy ``dispatch="points"`` path maps this over a stock pool
-    with the payload alone (journals are not picklable, so that path
-    checkpoints only at whole-point granularity, in the caller); the
-    fleet path calls it in-process with the persistent pool and the
-    point's scoped journal view, sharding each point's replicas.
+    With a pool, the point's replicas are sharded across its workers;
+    ``journal`` is the point's scoped view of the sweep's checkpoint.
     """
     make_factory, point, trials, budget, point_seed, batch, engine = payload
     return estimate_stabilization_time(
@@ -504,7 +498,6 @@ def sweep_stabilization_times(
     batch: str | int | None = "auto",
     engine: str = "auto",
     n_jobs: int | str | None = None,
-    dispatch: str = "fleet",
     checkpoint: "str | Path | CheckpointJournal | CheckpointView | None" = (
         None
     ),
@@ -537,39 +530,26 @@ def sweep_stabilization_times(
         Multi-core width (``"auto"`` = every usable core).  ``None``
         defers to the process-wide default of
         :mod:`repro.parallel.config`; ``1`` (or a resolved 1) runs
-        fully in-process.  Results are identical in every mode.
-    dispatch:
-        How ``n_jobs >= 2`` parallelizes.  ``"fleet"`` (default)
-        evaluates grid points in order, sharding each point's *trial
-        fleet* across one persistent worker pool reused for the whole
-        sweep — ``make_factory`` never crosses a process boundary, so
-        lambdas and closures parallelize and nothing ever silently
-        degrades.  ``"points"`` is the legacy path: whole grid points
-        fan out to a ``ProcessPoolExecutor`` (width clamped to the CPU
-        count), which requires ``make_factory`` to be picklable;
-        unpicklable factories are detected up front and fall back to
-        the in-process path with a :class:`RuntimeWarning` — that
-        warning is now exclusive to this legacy path.
+        fully in-process.  Results are identical in every mode.  With
+        ``n_jobs >= 2``, grid points are evaluated in order and each
+        point's *trial fleet* is sharded across one
+        :class:`~repro.parallel.supervisor.SupervisedPool` reused for
+        the whole sweep — ``make_factory`` never crosses a process
+        boundary, so lambdas and closures parallelize too.
     checkpoint, resume:
         Campaign checkpointing (see :mod:`repro.sim.checkpoint`): a
         journal path or open journal.  Each finished grid point is
-        persisted under ``point:{i}`` the moment it completes, and on
-        the fleet/in-process paths each point additionally journals
-        its own shards/chunks under a ``p{i}:`` scope — so an
-        interrupted sweep resumes mid-point, not merely mid-grid, and
-        produces a bitwise-identical :class:`SweepResult`.  The legacy
-        ``dispatch="points"`` executor checkpoints at whole-point
-        granularity only (journals do not cross process boundaries).
+        persisted under ``point:{i}`` the moment it completes, and
+        each point additionally journals its own shards/chunks under a
+        ``p{i}:`` scope — so an interrupted sweep resumes mid-point,
+        not merely mid-grid, and produces a bitwise-identical
+        :class:`SweepResult`.
 
     Returns
     -------
     SweepResult — a mapping from grid point to :class:`TrialStats`,
     with ``.entries`` carrying one result per grid entry.
     """
-    if dispatch not in ("fleet", "points"):
-        raise ValueError(
-            f"dispatch must be 'fleet' or 'points', got {dispatch!r}"
-        )
     point_seeds = spawn_seeds(seed, len(grid))
     payloads = []
     budgets = []
@@ -617,8 +597,7 @@ def sweep_stabilization_times(
             from repro.parallel.pool import resolve_n_jobs
 
             shards = resolve_n_jobs(n_jobs, clamp=False)
-        if todo and shards >= 2 and dispatch == "fleet":
-            from repro.parallel.pool import resolve_n_jobs
+        if todo and shards >= 2:
             from repro.parallel.supervisor import SupervisedPool
 
             with SupervisedPool(
@@ -634,41 +613,6 @@ def sweep_stabilization_times(
                             journal=point_journal(i),
                         ),
                     )
-            todo = []
-        use_pool = bool(todo) and shards >= 2
-        if use_pool:
-            # The legacy path: a ProcessPoolExecutor pickles each
-            # payload; a lambda/closure make_factory would raise
-            # PicklingError from deep inside the pool, so probe up
-            # front and degrade gracefully (dispatch="fleet" has no
-            # such constraint).
-            try:
-                pickle.dumps(make_factory)
-            except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                warnings.warn(
-                    f"make_factory is not picklable ({exc}); evaluating "
-                    "the sweep in-process (n_jobs ignored). Use a "
-                    "module-level factory function, or dispatch='fleet', "
-                    "to enable the process pool.",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                use_pool = False
-        if use_pool:
-            from concurrent.futures import ProcessPoolExecutor
-
-            from repro.parallel.pool import resolve_n_jobs
-
-            with ProcessPoolExecutor(
-                max_workers=resolve_n_jobs(n_jobs)
-            ) as executor:
-                for i, point_stats in zip(
-                    todo,
-                    executor.map(
-                        _sweep_point, [payloads[i] for i in todo]
-                    ),
-                ):
-                    finish(i, point_stats)
         else:
             for i in todo:
                 finish(

@@ -35,7 +35,7 @@ from repro.sim.trace import Trace, TraceRecorder
 
 if TYPE_CHECKING:
     from repro.core.process import MISProcess
-    from repro.parallel.pool import WorkerPool
+    from repro.parallel.supervisor import SupervisedPool
     from repro.sim.checkpoint import CheckpointView
 
 
@@ -163,7 +163,7 @@ def run_many_until_stable(
     batch: str | int | None = "auto",
     engine: str = "auto",
     n_jobs: int | str | None = None,
-    pool: WorkerPool | None = None,
+    pool: SupervisedPool | None = None,
     journal: "CheckpointView | None" = None,
 ) -> list[RunResult]:
     """Run many independent processes to stabilization, batching when possible.
@@ -209,13 +209,12 @@ def run_many_until_stable(
         any worker count**, because every replica's coin stream is
         independent.
     pool:
-        An existing pool to reuse (amortizes worker startup across
-        calls); implies parallel dispatch with one shard per worker
-        unless ``n_jobs`` says otherwise.  A
-        :class:`repro.parallel.supervisor.SupervisedPool` (what the
-        fleet path builds itself by default) self-heals worker
-        crashes, stragglers, and poisoned results; a legacy
-        :class:`repro.parallel.pool.WorkerPool` stays fail-fast.
+        An existing :class:`repro.parallel.supervisor.SupervisedPool`
+        to reuse (amortizes worker startup across calls); implies
+        parallel dispatch with one shard per worker unless ``n_jobs``
+        says otherwise.  Without one, the fleet path builds a private
+        pool; either way worker crashes, stragglers, and poisoned
+        results self-heal.
     journal:
         A :class:`repro.sim.checkpoint.CheckpointView` for the fleet
         path: completed shards are persisted the moment they land and

@@ -28,6 +28,7 @@ from repro.dynamic import (
     run_with_chaos,
 )
 from repro.dynamic.mutations import STREAM_KINDS
+from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.parallel.chaos import ServiceChaosPolicy
 from repro.sim.checkpoint import CheckpointJournal
@@ -132,6 +133,25 @@ class TestQueries:
         assert service._state_arrays()[1][5]
         with pytest.raises(IndexError):
             service.is_member(N)
+
+    def test_edge_to_dead_slot_is_a_noop(self):
+        # Regression: an add-edge with a dead endpoint used to attach the
+        # dead slot, which parks black, so mis() (black & alive) left its
+        # live neighbour 0 uncovered on 7 of these 20 seeds.
+        events = [
+            MutationEvent("del-vertex", 2),
+            MutationEvent("del-edge", 0, 1),
+            MutationEvent("add-edge", 2, 0),
+        ]
+        for seed in range(20):
+            service = MISService(
+                Graph(4, [(0, 1)]), ScriptedStream(4, events), seed=seed
+            )
+            service.run(len(events))
+            assert service.records[-1].action == "noop", seed
+            assert not service.overlay.has_edge(2, 0), seed
+            # No live edges remain, so every live vertex is in the MIS.
+            assert service.mis().tolist() == [0, 1, 3], seed
 
     def test_mis_requires_stability(self, graph, stream):
         service = MISService(

@@ -465,6 +465,27 @@ def test_parallel_safety_flags_lambda_into_pool(tmp_path):
     assert "lambda" in findings[0].message
 
 
+def test_parallel_safety_flags_lambdas_into_worker_constructors(tmp_path):
+    # Process(target=...) and any concurrent.futures *Executor(...).
+    findings = lint_source(
+        tmp_path,
+        """
+        import multiprocessing as mp
+        from concurrent import futures
+
+        def start(xs):
+            proc = mp.Process(target=lambda: xs)
+            executor = futures.ThreadPoolExecutor(initializer=lambda: None)
+            return proc, executor
+        """,
+        "parallel-safety",
+    )
+    messages = " | ".join(f.message for f in findings)
+    assert "`Process(...)`" in messages
+    assert "`ThreadPoolExecutor(...)`" in messages
+    assert len(findings) == 2
+
+
 def test_parallel_safety_flags_local_def_and_bound_method(tmp_path):
     findings = lint_source(
         tmp_path,
@@ -521,22 +542,6 @@ def test_parallel_safety_exempts_fleet_dispatch_callees(tmp_path):
         "parallel-safety",
     )
     assert findings == []
-
-
-def test_parallel_safety_flags_legacy_points_dispatch(tmp_path):
-    # dispatch="points" opts back into the pickling executor path.
-    findings = lint_source(
-        tmp_path,
-        """
-        def run_sweep(grid):
-            return sweep_stabilization_times(
-                lambda n: make(n), grid, n_jobs=4, dispatch="points"
-            )
-        """,
-        "parallel-safety",
-    )
-    assert len(findings) == 1
-    assert "n_jobs" in findings[0].message
 
 
 def test_parallel_safety_flags_worker_global_mutation(tmp_path):

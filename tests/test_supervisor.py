@@ -29,11 +29,9 @@ from repro.parallel import (
     RetryPolicy,
     ShardFailedError,
     SupervisedPool,
-    WorkerPool,
     iter_chaos_fault_plan,
     leaked_segments,
     shard_ranges,
-    supervised_pool_for,
 )
 from repro.parallel.config import default_supervision, get_default_supervision
 from repro.parallel.jobs import GraphRegistry, ShardJob
@@ -373,17 +371,6 @@ def test_constructor_validation():
         SupervisedPool(1, deadline=0.0)
 
 
-def test_supervised_pool_for_clamps_to_jobs():
-    from repro.parallel.pool import resolve_n_jobs
-
-    pool = supervised_pool_for(2, 16)
-    try:
-        # Width = min(shard count, usable CPUs), never below 1.
-        assert pool.workers == max(1, min(2, resolve_n_jobs(16)))
-    finally:
-        pool.close()
-
-
 # ---------------------------------------------------------------------------
 # Process-wide supervision defaults
 # ---------------------------------------------------------------------------
@@ -465,17 +452,3 @@ def test_retry_policy_backoff_schedule():
         RetryPolicy(max_retries=-1)
     with pytest.raises(ValueError):
         RetryPolicy(backoff_factor=0.5)
-
-
-# ---------------------------------------------------------------------------
-# Legacy pool interop
-# ---------------------------------------------------------------------------
-
-
-def test_legacy_worker_pool_still_dispatches():
-    serial, legacy = _fleet(6), _fleet(6)
-    rs = run_many_until_stable(serial, max_rounds=400)
-    with WorkerPool(2) as pool:
-        rp = run_many_until_stable(legacy, max_rounds=400, pool=pool)
-    _assert_identical(serial, legacy, rs, rp)
-    _assert_no_leaks()

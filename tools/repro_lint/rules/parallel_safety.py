@@ -1,9 +1,9 @@
 """parallel-safety: what may cross a process-pool boundary.
 
-The Monte-Carlo sweep fans work out over ``ProcessPoolExecutor``, and
-the ROADMAP's fleet-sharding item will push engine state through
-``multiprocessing.shared_memory``.  Both paths have the same two
-silent failure modes:
+Work that crosses into another process — a ``multiprocessing`` or
+``concurrent.futures`` pool, or a :mod:`repro.parallel` worker reading
+engine state from ``multiprocessing.shared_memory`` — has two silent
+failure modes:
 
 1. **Unpicklable work units.**  Lambdas, closures, locally defined
    functions/classes and bound methods cannot cross the pickle
@@ -12,15 +12,12 @@ silent failure modes:
    ``executor.submit``, ``Process(target=...)``) and callables passed
    alongside an ``n_jobs=`` keyword.  The fleet-dispatch entry points
    of :mod:`repro.parallel` (:data:`_FLEET_SAFE_CALLEES`) are exempt:
-   their ``n_jobs`` shards *replicas* in-process and the callable
-   never crosses the boundary — except on the sweep's explicit legacy
-   ``dispatch="points"`` path, which still fans whole payloads
-   (factory included) into a stock executor and stays flagged.
-   Likewise exempt: ``SupervisedPool.run_jobs``
-   (:data:`_MASTER_SIDE_POOL_METHODS`), whose callable keywords
-   (``local_runner``/``validate``/``on_result``) are supervision hooks
-   invoked in the dispatching process — lambdas there are idiomatic,
-   not a pickle hazard.
+   their ``n_jobs`` shards *replicas* across workers and the callable
+   stays in the dispatching process.  Likewise exempt:
+   ``SupervisedPool.run_jobs`` (:data:`_MASTER_SIDE_POOL_METHODS`),
+   whose callable keywords (``local_runner``/``validate``/``on_result``)
+   are supervision hooks invoked in the dispatching process — lambdas
+   there are idiomatic, not a pickle hazard.
 
 2. **Worker-side module-global mutation.**  A worker process runs in a
    *copy* of the module: mutating a module-level binding there is lost
@@ -66,14 +63,15 @@ _POOL_METHODS = {
     "apply",
     "apply_async",
 }
-#: Constructors whose keyword arguments carry worker callables.
-_WORKER_CTORS = {"Process", "Pool", "ProcessPoolExecutor", "ThreadPoolExecutor"}
+#: Constructors whose keyword arguments carry worker callables, plus
+#: every ``*Executor`` (the ``concurrent.futures`` pools).
+_WORKER_CTORS = {"Process", "Pool"}
+_WORKER_CTOR_SUFFIX = "Executor"
 #: Keyword arguments that carry callables across the boundary.
 _WORKER_KWARGS = {"target", "func", "function", "initializer"}
-#: Callees whose ``n_jobs`` shards replicas in-process (the
-#: repro.parallel fleet dispatch): callable arguments stay on the
-#: master side, so closures and lambdas are safe — except under the
-#: sweep's legacy ``dispatch="points"`` (see :func:`_dispatches_points`).
+#: Callees whose ``n_jobs`` shards replicas (the repro.parallel fleet
+#: dispatch): callable arguments stay on the master side, so closures
+#: and lambdas are safe.
 _FLEET_SAFE_CALLEES = {
     "run_many_until_stable",
     "estimate_stabilization_time",
@@ -90,22 +88,6 @@ _FLEET_SAFE_CALLEES = {
 #: invoked by the supervision loop in the dispatching process, so
 #: lambdas and closures are the *idiomatic* arguments there.
 _MASTER_SIDE_POOL_METHODS = {"run_jobs"}
-
-
-def _dispatches_points(call: ast.Call) -> bool:
-    """Whether a fleet-safe call opts into the legacy points path.
-
-    A missing ``dispatch=`` means the fleet default; any value other
-    than the literal ``"fleet"`` (including a dynamic expression) is
-    treated as the pickling path, erring toward a finding.
-    """
-    for kw in call.keywords:
-        if kw.arg == "dispatch":
-            value = kw.value
-            return not (
-                isinstance(value, ast.Constant) and value.value == "fleet"
-            )
-    return False
 
 
 def _receiver_is_pool(func: ast.Attribute) -> bool:
@@ -194,6 +176,8 @@ class ParallelSafetyRule(Rule):
             # SupervisedPool.run_jobs: its callable keywords stay on
             # the master side of the supervision loop — fleet-safe.
             return []
+        callee = dotted_name(call.func)
+        base = callee.rsplit(".", 1)[-1] if callee is not None else ""
         if (
             isinstance(call.func, ast.Attribute)
             and call.func.attr in _POOL_METHODS
@@ -202,13 +186,8 @@ class ParallelSafetyRule(Rule):
             site = f"`.{call.func.attr}` pool call"
             if call.args:
                 workers.append(call.args[0])
-        else:
-            callee = dotted_name(call.func)
-            if (
-                callee is not None
-                and callee.rsplit(".", 1)[-1] in _WORKER_CTORS
-            ):
-                site = f"`{callee.rsplit('.', 1)[-1]}(...)`"
+        elif base in _WORKER_CTORS or base.endswith(_WORKER_CTOR_SUFFIX):
+            site = f"`{base}(...)`"
         if site is not None:
             workers.extend(
                 kw.value
@@ -216,11 +195,9 @@ class ParallelSafetyRule(Rule):
                 if kw.arg in _WORKER_KWARGS
             )
         elif any(kw.arg == "n_jobs" for kw in call.keywords):
-            callee = dotted_name(call.func)
-            base = callee.rsplit(".", 1)[-1] if callee is not None else None
-            if base in _FLEET_SAFE_CALLEES and not _dispatches_points(call):
-                # Fleet dispatch: replicas are sharded in-process and
-                # the callable never crosses the pickle boundary.
+            if base in _FLEET_SAFE_CALLEES:
+                # Fleet dispatch: replicas are sharded across workers
+                # and the callable never crosses the pickle boundary.
                 return []
             # A function advertising parallelism: every callable
             # argument may end up on the worker side.
