@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast lint repro-lint typecheck docs check-docs bench bench-batched bench-families bench-substrate bench-frontier bench-batched-frontier bench-parallel bench-churn bench-fast check-bench bench-smoke doctor chaos-smoke churn-smoke ci
+.PHONY: test test-fast lint repro-lint typecheck docs check-docs bench bench-batched bench-families bench-substrate bench-frontier bench-batched-frontier bench-parallel bench-churn bench-fast check-bench bench-smoke doctor chaos-smoke churn-smoke perfbench-smoke ci
 
 test:            ## full test suite (tier-1 gate)
 	$(PYTHON) -m pytest -x -q
@@ -73,7 +73,10 @@ churn-smoke:     ## dynamic-service self-check (overlay/repair/resume doctor) + 
 	$(PYTHON) -m repro.dynamic --doctor
 	$(PYTHON) -m repro.experiments run E20
 
-ci: lint test check-docs bench-smoke bench-fast check-bench doctor chaos-smoke churn-smoke   ## what the CI workflow runs
+perfbench-smoke: ## end-to-end sweep (G(n,p) per trial, 2-worker pool, journal); exits 1 on any failed or wrong MIS
+	$(PYTHON) perfbench/run.py --workload sweep-jobs2 --seed 0 --seconds 3 --trace 0
+
+ci: lint test check-docs bench-smoke bench-fast check-bench doctor chaos-smoke churn-smoke perfbench-smoke   ## what the CI workflow runs
 
 bench-smoke:     ## CI-scale regression smoke (batched engines, substrate, frontier, fleet sharding, churn, E19)
 	BENCH_FAST=1 $(PYTHON) benchmarks/bench_batched_families.py

@@ -64,26 +64,44 @@ def is_independent_set(
     return not independence_violations(graph, vertices)
 
 
+def _is_mis_mask(graph: Graph, mask: np.ndarray) -> bool:
+    """Decide both MIS properties from one sparse product.
+
+    ``counts[u]`` is the number of set members adjacent to ``u``: a
+    member with ``counts > 0`` breaks independence, a non-member with
+    ``counts == 0`` breaks maximality.
+    """
+    if graph.n == 0:
+        return True
+    counts = graph.adjacency_csr().dot(mask.astype(np.int32))
+    covered = counts > 0
+    return not (mask & covered).any() and bool((mask | covered).all())
+
+
 def is_maximal_independent_set(
     graph: Graph, vertices: Iterable[int] | np.ndarray
 ) -> bool:
     """Whether the set is a maximal independent set."""
-    return (
-        not independence_violations(graph, vertices)
-        and not maximality_violations(graph, vertices)
-    )
+    return _is_mis_mask(graph, _as_mask(graph, vertices))
 
 
 def assert_valid_mis(
     graph: Graph, vertices: Iterable[int] | np.ndarray
 ) -> None:
-    """Raise ``AssertionError`` with diagnostics if the set is not an MIS."""
-    ind = independence_violations(graph, vertices)
+    """Raise ``AssertionError`` with diagnostics if the set is not an MIS.
+
+    A valid set costs one sparse product; the violation lists behind the
+    message are built only when a check fails.
+    """
+    mask = _as_mask(graph, vertices)
+    if _is_mis_mask(graph, mask):
+        return
+    ind = independence_violations(graph, mask)
     if ind:
         raise AssertionError(
             f"independence violated on {len(ind)} edge(s), e.g. {ind[:5]}"
         )
-    maxi = maximality_violations(graph, vertices)
+    maxi = maximality_violations(graph, mask)
     if maxi:
         raise AssertionError(
             f"maximality violated at {len(maxi)} vertex(ices), "

@@ -23,11 +23,6 @@ def _as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-#: Largest n for which the per-edge (serial) geometric-skip loop is used.
-#: Small samples keep the seed-pinned draw order (one ``gen.random()``
-#: per edge); above this the sampler draws skips in vectorized blocks.
-_SERIAL_SKIP_MAX_N = 6000
-
 #: Upper bound on the number of geometric skips drawn per block by the
 #: vectorized sampler (bounds transient memory; tests shrink it to
 #: exercise the multi-block continuation path).
@@ -56,16 +51,22 @@ def _triangle_unrank(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _gnp_skip_vectorized(
     n: int, p: float, gen: np.random.Generator
 ) -> Graph:
-    """Geometric skipping with block-drawn skips (large-n fast path).
+    """Batagelj–Brandes geometric skipping with block-drawn skips.
 
-    Statistically identical to the serial skip loop — the skip sequence
-    is the same i.i.d. geometric stream — but the uniforms are drawn in
-    vectorized blocks and the skip positions accumulated with one
-    ``cumsum``, so a G(10⁶, 3/n) sample costs a handful of numpy calls
-    instead of ~1.5M Python loop iterations.  (Block draws consume the
-    underlying bit stream in a different order than the serial loop, so
-    this path is reserved for ``n > _SERIAL_SKIP_MAX_N``, where no
-    seed-pinned samples exist.)
+    Walks the linearized strict lower triangle ``k = v(v-1)/2 + w``:
+    each uniform ``r`` gives a skip ``floor(log1p(-r) / log1p(-p))`` and
+    the next edge sits ``skip + 1`` pairs past the previous one.  The
+    uniforms are drawn in vectorized blocks and the positions accumulated
+    with one ``cumsum``, so a G(10⁶, 3/n) sample costs a handful of
+    numpy calls instead of ~1.5M Python loop iterations.
+
+    Draw contract: a sample with ``m`` edges consumes exactly ``m + 1``
+    uniforms from ``gen``, one per edge plus the terminating draw (a
+    skip ``>= C(n, 2)`` or a position past the last pair).  This is
+    what a per-edge ``gen.random()`` loop consumes, and
+    ``Generator.random(k)`` yields the same doubles as ``k`` scalar
+    calls, so edges and the generator's end state both match that loop
+    bit for bit, for every numpy BitGenerator.
     """
     total_pairs = n * (n - 1) // 2
     log_q = float(np.log1p(-p))
@@ -76,6 +77,7 @@ def _gnp_skip_vectorized(
             max(1024, expected * 1.1 + 6.0 * expected**0.5 + 16),
         )
     )
+    start = gen.bit_generator.state
     chunks: list[np.ndarray] = []
     pos = -1  # linear triangle index of the last emitted pair
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -95,9 +97,10 @@ def _gnp_skip_vectorized(
             chunks.append(ks[in_range])
             if done or not in_range.all():
                 break
-    if not chunks:
-        return Graph(n)
     ks = np.concatenate(chunks)
+    # Give back the uniforms the last block drew past the terminating one.
+    gen.bit_generator.state = start
+    gen.random(ks.size + 1)
     if ks.size == 0:
         return Graph(n)
     us, vs = _triangle_unrank(ks)
@@ -110,11 +113,13 @@ def gnp_random_graph(
     """Erdős–Rényi random graph ``G(n, p)``.
 
     Each of the ``C(n, 2)`` possible edges is present independently with
-    probability ``p``.  Uses geometric skipping, so the cost is
-    ``O(n + m)`` rather than ``O(n^2)`` for sparse graphs; for
-    ``n > 6000`` the skips are drawn in vectorized blocks and assembled
-    straight into the CSR-native :class:`Graph`, so million-vertex
-    sparse samples construct in well under a second.
+    probability ``p``.  Samples are drawn by block-vectorized geometric
+    skipping (:func:`_gnp_skip_vectorized`): the cost is ``O(n + m)``
+    rather than ``O(n^2)``, million-vertex sparse samples construct in
+    well under a second, and a sample with ``m`` edges consumes exactly
+    ``m + 1`` uniforms from ``rng``.  The one exception is a dense small
+    sample (more than 50k expected edges and ``n <= 6000``), which draws
+    one uniform per vertex pair over the whole upper triangle instead.
 
     Any ``0 <= p <= 1`` float is accepted, including denormals: skip
     lengths are computed in float space and compared against the number
@@ -135,10 +140,9 @@ def gnp_random_graph(
 
         return complete_graph(n)
 
-    # Dense fast path: materialize the whole upper triangle with one
-    # vectorized Bernoulli draw (O(n²) memory but no Python loop) when
-    # the expected edge count would make geometric skipping's per-edge
-    # Python iteration the bottleneck.
+    # Dense path: materialize the whole upper triangle with one
+    # vectorized Bernoulli draw (O(n²) memory).  Its draw order differs
+    # from skipping's, so the threshold is part of the seeding contract.
     total_pairs = n * (n - 1) // 2
     expected_edges = p * total_pairs
     if expected_edges > 50_000 and n <= 6000:
@@ -146,41 +150,7 @@ def gnp_random_graph(
         mask = gen.random(iu.size) < p
         return Graph.from_numpy_edges(n, iu[mask], ju[mask])
 
-    # Large graphs: block-vectorized geometric skipping (no pinned
-    # samples exist above the serial-loop cutoff, so the different
-    # uniform-consumption order is safe there).
-    if n > _SERIAL_SKIP_MAX_N:
-        return _gnp_skip_vectorized(n, p, gen)
-
-    # Geometric skipping over the linearized strict upper triangle
-    # (Batagelj & Brandes 2005), assembled via the vectorized
-    # constructor (Python loops over millions of edges would dominate
-    # the dense experiments otherwise).
-    us: list[int] = []
-    vs: list[int] = []
-    log_q = float(np.log1p(-p))
-    v = 1
-    w = -1
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while v < n:
-            r = gen.random()
-            # A skip of >= total_pairs lands past the last pair whatever
-            # the current position, so the sample contains no further
-            # edge.  The comparison happens on the float (inf-safe): for
-            # denormal p, log_q rounds to -0.0 and the quotient is +inf.
-            skip = np.floor(np.log1p(-r) / log_q)
-            if not skip < total_pairs:
-                break
-            w = w + 1 + int(skip)
-            while w >= v and v < n:
-                w -= v
-                v += 1
-            if v < n:
-                us.append(w)
-                vs.append(v)
-    return Graph.from_numpy_edges(
-        n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
-    )
+    return _gnp_skip_vectorized(n, p, gen)
 
 
 def gnm_random_graph(

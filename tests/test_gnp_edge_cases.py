@@ -83,8 +83,8 @@ class TestPathBoundary:
         graph_invariants(gnp_random_graph(n, p, rng=11), n)
 
     def test_large_n_always_geometric(self):
-        # n > 6000 stays on the skip path even when dense-eligible by
-        # expected edge count.
+        # Above the dense path's n <= 6000 cutoff the skip sampler runs
+        # even when the expected edge count exceeds the dense threshold.
         n, p = 6500, 0.003
         g = gnp_random_graph(n, p, rng=13)
         graph_invariants(g, n)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.graphs import random_graphs as rg
+from repro.graphs.graph import Graph
 from repro.graphs.properties import is_connected
 
 
@@ -44,7 +46,8 @@ class TestGnp:
         assert rg.gnp_random_graph(1, 0.5, rng=0).m == 0
 
     def test_vectorized_skip_path_deterministic(self):
-        # n > 6000 rides the block-vectorized geometric-skip sampler.
+        # A sample above the dense path's n <= 6000 cutoff, where only
+        # geometric skipping applies.
         g1 = rg.gnp_random_graph(7000, 0.0005, rng=17)
         g2 = rg.gnp_random_graph(7000, 0.0005, rng=17)
         assert g1 == g2
@@ -64,6 +67,105 @@ class TestGnp:
         us, vs = g.edge_arrays()
         assert us.size == g.m
         assert ((0 <= us) & (us < vs) & (vs < n)).all()
+
+
+def _reference_gnp(n: int, p: float, gen: np.random.Generator) -> Graph:
+    """Per-edge Batagelj–Brandes loop: one ``gen.random()`` per edge.
+
+    The sampler's specification: ``gnp_random_graph`` must produce the
+    same edges and leave ``gen`` in the same state on its skip path.
+    """
+    total_pairs = n * (n - 1) // 2
+    us: list[int] = []
+    vs: list[int] = []
+    log_q = float(np.log1p(-p))
+    v = 1
+    w = -1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while v < n:
+            r = gen.random()
+            skip = np.floor(np.log1p(-r) / log_q)
+            if not skip < total_pairs:
+                break
+            w = w + 1 + int(skip)
+            while w >= v and v < n:
+                w -= v
+                v += 1
+            if v < n:
+                us.append(w)
+                vs.append(v)
+    return Graph.from_numpy_edges(
+        n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+    )
+
+
+def _states_equal(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(
+            _states_equal(a[k], b[k]) for k in a
+        )
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox,
+                  np.random.SFC64]
+
+
+def _assert_matches_reference(n: int, p: float, seed: int,
+                              bitgen=np.random.PCG64) -> None:
+    assert p * (n * (n - 1) // 2) <= 50_000 or n > 6000, "dense path"
+    gen_ref = np.random.Generator(bitgen(seed))
+    gen_new = np.random.Generator(bitgen(seed))
+    ref = _reference_gnp(n, p, gen_ref)
+    got = rg.gnp_random_graph(n, p, rng=gen_new)
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert _states_equal(gen_new.bit_generator.state,
+                         gen_ref.bit_generator.state)
+    assert gen_new.random() == gen_ref.random()
+
+
+class TestGnpSkipOracle:
+    """Edges and post-call generator state match the per-edge loop."""
+
+    # The sweep grid (n, c/n) of the perfbench sweep workload, tiny n,
+    # the sparse neighbour of the dense threshold, denormal p and p
+    # adjacent to 1.
+    CASES = [(1024, 3 / 1024), (4096, 3 / 4096), (512, 25 / 512),
+             (2048, 12 / 2048), (0, 0.5), (1, 0.5), (2, 0.5), (3, 0.5),
+             (2, 0.999), (3, 0.01), (500, 0.4), (50, 5e-324),
+             (1000, 1e-300), (300, 1 - 1e-6)]
+
+    @pytest.mark.parametrize("bitgen", BIT_GENERATORS)
+    @pytest.mark.parametrize("n,p", CASES)
+    def test_matches_per_edge_loop(self, n, p, bitgen):
+        for seed in (0, 1, 2024):
+            _assert_matches_reference(n, p, seed, bitgen)
+
+    @pytest.mark.parametrize("bitgen", BIT_GENERATORS)
+    def test_matches_across_many_blocks(self, monkeypatch, bitgen):
+        monkeypatch.setattr(rg, "_SKIP_BLOCK_CAP", 7)
+        for n, p in [(2, 0.5), (3, 0.9), (64, 0.2), (1024, 3 / 1024),
+                     (300, 1 - 1e-6)]:
+            for seed in range(3):
+                _assert_matches_reference(n, p, seed, bitgen)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=3000),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                  exclude_max=True),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_per_edge_loop_hypothesis(self, n, frac, seed):
+        # Scale p below the dense threshold so every example takes the
+        # skip path; small n still sees the whole range of p.
+        total_pairs = n * (n - 1) // 2
+        p = frac * min(1.0, 50_000 / max(total_pairs, 1))
+        assume(0.0 < p < 1.0 and p * total_pairs <= 50_000)
+        _assert_matches_reference(n, p, seed)
 
 
 class TestGnm:

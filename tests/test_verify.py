@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.verify import (
     assert_valid_mis,
@@ -13,6 +14,7 @@ from repro.core.verify import (
 )
 from repro.graphs.generators import complete_graph, cycle_graph, path_graph
 from repro.graphs.graph import Graph
+from repro.graphs.random_graphs import gnp_random_graph
 
 
 class TestIndependence:
@@ -75,6 +77,61 @@ class TestAssertValidMis:
     def test_maximality_error_message(self):
         with pytest.raises(AssertionError, match="maximality"):
             assert_valid_mis(path_graph(5), [0])
+
+    @pytest.mark.parametrize("vertices,message", [
+        ([0, 1, 3], "independence violated on 1 edge(s), e.g. [(0, 1)]"),
+        ([0], "maximality violated at 3 vertex(ices), e.g. [2, 3, 4]"),
+        # Both fail: independence is reported first.
+        ([0, 1], "independence violated on 1 edge(s), e.g. [(0, 1)]"),
+    ])
+    def test_exact_messages(self, vertices, message):
+        with pytest.raises(AssertionError) as info:
+            assert_valid_mis(path_graph(5), vertices)
+        assert str(info.value) == message
+
+    def test_empty_graph(self):
+        assert_valid_mis(Graph(0), [])
+        assert is_maximal_independent_set(Graph(0), np.zeros(0, bool))
+
+
+def _message_from_violation_lists(graph, mask):
+    """The diagnostics ``assert_valid_mis`` builds, or None for an MIS."""
+    ind = independence_violations(graph, mask)
+    if ind:
+        return f"independence violated on {len(ind)} edge(s), e.g. {ind[:5]}"
+    maxi = maximality_violations(graph, mask)
+    if maxi:
+        return (f"maximality violated at {len(maxi)} vertex(ices), "
+                f"e.g. {maxi[:5]}")
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=60),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_one_product_agrees_with_violation_lists(n, p, seed, density):
+    graph = gnp_random_graph(n, p, rng=seed)
+    gen = np.random.default_rng(seed)
+    masks = [gen.random(n) < density, np.zeros(n, bool), np.ones(n, bool)]
+    # A greedy MIS, so the valid case is exercised on every graph.
+    greedy = np.zeros(n, bool)
+    for u in range(n):
+        if not greedy[list(graph.neighbors(u))].any():
+            greedy[u] = True
+    masks.append(greedy)
+    for mask in masks:
+        expected = _message_from_violation_lists(graph, mask)
+        assert is_maximal_independent_set(graph, mask) == (expected is None)
+        if expected is None:
+            assert_valid_mis(graph, mask)
+        else:
+            with pytest.raises(AssertionError) as info:
+                assert_valid_mis(graph, mask)
+            assert str(info.value) == expected
 
 
 class TestSizeBounds:
