@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast lint repro-lint typecheck docs check-docs bench bench-batched bench-families bench-substrate bench-frontier bench-batched-frontier bench-parallel bench-churn bench-fast check-bench bench-smoke doctor chaos-smoke churn-smoke perfbench-smoke ci
+.PHONY: test test-fast lint repro-lint typecheck docs check-docs bench bench-batched bench-families bench-substrate bench-frontier bench-batched-frontier bench-parallel bench-churn bench-cutoff bench-fast check-bench bench-smoke doctor chaos-smoke churn-smoke perfbench-smoke ci
 
 test:            ## full test suite (tier-1 gate)
 	$(PYTHON) -m pytest -x -q
@@ -57,6 +57,9 @@ bench-parallel:  ## multi-core fleet sharding vs serial (hardware-scaled floor a
 bench-churn:     ## dynamic MIS service: frontier repair vs per-event rebuild at n = 2^16 (throughput floor asserted)
 	$(PYTHON) benchmarks/bench_churn.py
 
+bench-cutoff:    ## batched vs serial fleets across n per family: the evidence for each engine's auto_max_n (no floor; not in check-bench)
+	$(PYTHON) benchmarks/bench_batch_cutoff.py
+
 bench-fast:      ## fast-mode speedups -> BENCH_*.json at repo root
 	$(PYTHON) benchmarks/emit_bench_json.py
 
@@ -73,8 +76,9 @@ churn-smoke:     ## dynamic-service self-check (overlay/repair/resume doctor) + 
 	$(PYTHON) -m repro.dynamic --doctor
 	$(PYTHON) -m repro.experiments run E20
 
-perfbench-smoke: ## end-to-end sweep (G(n,p) per trial, 2-worker pool, journal); exits 1 on any failed or wrong MIS
+perfbench-smoke: ## end-to-end sweep (G(n,p) per trial, 2-worker pool, journal) and 2^16 fleet; exits 1 on any failed or wrong MIS
 	$(PYTHON) perfbench/run.py --workload sweep-jobs2 --seed 0 --seconds 3 --trace 0
+	$(PYTHON) perfbench/run.py --workload fleet-2e16 --seed 0 --seconds 3 --trace 0
 
 ci: lint test check-docs bench-smoke bench-fast check-bench doctor chaos-smoke churn-smoke perfbench-smoke   ## what the CI workflow runs
 

@@ -237,6 +237,18 @@ class _BatchedMISEngine:
     #: (the 3-state family's black1 indicator).
     track_aux_counts = False
 
+    #: Largest n that ``batch="auto"`` batches (see
+    #: :func:`repro.sim.runner.run_many_until_stable`); larger groups
+    #: run the serial frontier loop, which is faster there because it
+    #: touches only each trial's frontier while this engine still makes
+    #: (R, n)-sized passes.  Fitted per family from
+    #: ``benchmarks/bench_batch_cutoff.py``: the largest grid n at
+    #: which batching wins on both G(n, 3/n) and G(n, 12/n).  The
+    #: default fits the 2-state engine (1.58× / 1.32× at 8192, 1.08× /
+    #: 0.93× at 16384, R = 128) and the scheduled one (1.08× / 1.07× at
+    #: 8192, 0.95× / 0.75× at 16384, R = 32).
+    auto_max_n = 8192
+
     #: Compact the block-diagonal adjacency once the live fraction of
     #: its rows drops below this threshold.
     _COMPACT_THRESHOLD = 0.5
@@ -1032,6 +1044,9 @@ class BatchedThreeStateMIS(_BatchedMISEngine):
     process_type = ThreeStateMIS
     supports_frontier = True
     track_aux_counts = True
+    #: Batching still wins at n = 8192 on G(n, 3/n) (1.24×) but not on
+    #: G(n, 12/n) (0.98×); at 4096 it wins 1.87× / 1.58× (R = 128).
+    auto_max_n = 4096
 
     def _gather(self) -> None:
         self._states = np.stack([p.states for p in self.processes])
@@ -1151,6 +1166,11 @@ class BatchedThreeColorMIS(_BatchedMISEngine):
     """
 
     process_type = ThreeColorMIS
+    #: The serial 3-color loop pays the switch's per-vertex level
+    #: diffusion every round, so batching wins longer: 1.14× / 1.20× at
+    #: n = 16384 on G(n, 3/n) / G(n, 12/n), 0.78× / 0.84× at 32768
+    #: (R = 64, a = 16).
+    auto_max_n = 16384
 
     @classmethod
     def accepts(cls, process: object) -> bool:

@@ -4,10 +4,13 @@ Long Monte-Carlo campaigns (a 12-point sweep × hundreds of trials) die
 for boring reasons — preemption, Ctrl-C, a full disk — and PR 9's
 resilience contract says dying must not forfeit completed work.  The
 :class:`CheckpointJournal` is the persistence half of that contract: a
-single JSONL file where the first line is a header (format version +
-campaign fingerprint) and every further line is one completed unit of
-work (``{"key": ..., "value": ...}``), appended atomically (write,
-flush, fsync) the moment it completes.  A re-run with ``resume=True``
+single line-oriented file where the first line is a JSON header
+(format version + campaign fingerprint) and every further line is one
+completed unit of work, appended atomically (write, flush, fsync) the
+moment it completes.  A record line is the CRC32 of the record's
+canonical JSON (sorted keys, no whitespace) as eight hex digits, one
+space, then that JSON (``{"key": ..., "value": ...}``), the framing of
+the LevelDB log format.  A re-run with ``resume=True``
 replays the journal, skips every journaled unit, and — because every
 replica owns an independent coin stream — produces results
 bitwise-identical to an uninterrupted run.
@@ -29,16 +32,21 @@ key                    value
 Robustness properties:
 
 * **Torn tails tolerated.**  A crash mid-append leaves a truncated
-  final line; replay stops at the first undecodable line, truncates
-  the fragment from disk (so later appends cannot merge into it and
-  vanish from future replays), and the unit is simply re-run.
-  (Append-then-fsync means at most the *last* line can be torn.)
+  final line; replay drops it, truncates the fragment from disk (so
+  later appends cannot merge into it and vanish from future replays),
+  and the unit is simply re-run.  (Append-then-fsync means at most the
+  *last* line can be torn.)
+* **Corruption refused.**  Any other record whose checksum does not
+  match its bytes, or that does not parse, raises
+  :class:`CheckpointError` naming its byte offset: an edited value
+  (``"rounds":17`` → ``71``) is never replayed as a result, and a
+  damaged middle line never silently discards the records after it.
 * **Fingerprint checked.**  Resuming against a journal whose header
   fingerprint does not match the campaign raises
   :class:`CheckpointMismatchError` instead of silently splicing
   results from a different experiment.
-* **Version gated.**  A journal written by a future format version is
-  refused, not misparsed.
+* **Version gated.**  A journal written by another format version
+  (version 1 had no checksums) is refused, not misparsed.
 """
 
 from __future__ import annotations
@@ -48,12 +56,14 @@ import hashlib
 import json
 import multiprocessing as mp
 import os
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-#: On-disk format version (header field ``"version"``).
-JOURNAL_VERSION = 1
+#: On-disk format version (header field ``"version"``).  Version 2
+#: added the per-record CRC32.
+JOURNAL_VERSION = 2
 
 #: Header magic so a random JSONL file is not mistaken for a journal.
 _MAGIC = "repro-checkpoint"
@@ -78,6 +88,30 @@ def campaign_fingerprint(spec: Mapping[str, Any]) -> str:
         dict(spec), sort_keys=True, separators=(",", ":"), default=repr
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _frame_record(record: Mapping[str, Any]) -> str:
+    """One journal line: CRC32 (8 hex digits), a space, canonical JSON."""
+    body = json.dumps(
+        record, sort_keys=True, separators=(",", ":"), default=repr
+    )
+    return f"{zlib.crc32(body.encode('utf-8')):08x} {body}\n"
+
+
+def _unframe_record(line: bytes) -> tuple[dict | None, str]:
+    """The record a journal line frames, or ``None`` and why not."""
+    crc, sep, body = line.partition(b" ")
+    if not sep or len(crc) != 8:
+        return None, "no checksum"
+    try:
+        if int(crc, 16) != zlib.crc32(body):
+            return None, "checksum mismatch"
+        entry = json.loads(body)
+    except (ValueError, UnicodeDecodeError):
+        return None, "unparsable record"
+    if not isinstance(entry, dict) or "key" not in entry:
+        return None, "not a journal record"
+    return entry, ""
 
 
 def _encode_value(value: Any) -> Any:
@@ -134,13 +168,12 @@ class CheckpointJournal:
             self._file = open(self.path, "a", encoding="utf-8")
         else:
             self._file = open(self.path, "w", encoding="utf-8")
-            self._append(
-                {
-                    "magic": _MAGIC,
-                    "version": JOURNAL_VERSION,
-                    "fingerprint": self.fingerprint,
-                }
-            )
+            header = {
+                "magic": _MAGIC,
+                "version": JOURNAL_VERSION,
+                "fingerprint": self.fingerprint,
+            }
+            self._append(json.dumps(header, separators=(",", ":")) + "\n")
         self._closed = False
 
     def _replay(self) -> None:
@@ -169,33 +202,34 @@ class CheckpointJournal:
                 f"{self.fingerprint!r:.20}); pass resume=False (or the "
                 "CLI's plain --checkpoint without --resume) to start over"
             )
-        # Only newline-terminated lines count: split() leaves whatever
-        # followed the final "\n" — a torn fragment, or b"" for a clean
-        # file — as the last element, which is never replayed.
-        good_end = len(lines[0]) + 1
-        for line in lines[1:-1]:
-            try:
-                entry = json.loads(line)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                # Torn tail from a crash mid-append: everything before
-                # it was fsync-framed, so stop here and re-run the rest.
-                break
-            if not isinstance(entry, dict) or "key" not in entry:
+        # A crash mid-append can tear only the final line: split()
+        # leaves whatever followed the final "\n" (b"" for a clean
+        # file) as a fragment that is never replayed, and a damaged
+        # last record is dropped too; any earlier bad line is
+        # corruption and is refused with its offset.
+        records, fragment = lines[1:-1], lines[-1]
+        offset = len(lines[0]) + 1
+        for i, line in enumerate(records):
+            entry, problem = _unframe_record(line)
+            if entry is None:
+                if i < len(records) - 1 or fragment:
+                    raise CheckpointError(
+                        f"{self.path}: corrupt journal record at byte "
+                        f"offset {offset} ({problem})"
+                    )
                 break
             self._entries[entry["key"]] = _decode_value(entry.get("value"))
-            good_end += len(line) + 1
-        if good_end < len(raw):
-            # Drop the torn fragment *on disk*, not just in replay —
+            offset += len(line) + 1
+        if offset < len(raw):
+            # Drop the torn tail *on disk*, not just in replay —
             # otherwise the very next append would merge into the
             # garbage line and hide every later entry from future
             # replays (the resume-after-poison chaos path).
             with open(self.path, "rb+") as fh:
-                fh.truncate(good_end)
+                fh.truncate(offset)
 
-    def _append(self, record: Mapping[str, Any]) -> None:
-        self._file.write(
-            json.dumps(record, separators=(",", ":"), default=repr) + "\n"
-        )
+    def _append(self, line: str) -> None:
+        self._file.write(line)
         self._file.flush()
         os.fsync(self._file.fileno())
 
@@ -205,7 +239,7 @@ class CheckpointJournal:
         if self._closed:
             raise CheckpointError(f"{self.path}: journal is closed")
         self._entries[key] = value
-        self._append({"key": key, "value": _encode_value(value)})
+        self._append(_frame_record({"key": key, "value": _encode_value(value)}))
 
     def get(self, key: str, default: Any = None) -> Any:
         """The journaled value for ``key``, or ``default``."""

@@ -11,7 +11,9 @@ the vectorized batched engine family of :mod:`repro.core.batched`: the
 factory's processes are built in seed order exactly as the serial loop
 would build them, then all batchable ones (2-state, 3-state, 3-color
 with the randomized switch, independently-scheduled — see the dispatch
-table) advance together as one state matrix.  Per-trial results are
+table) advance together as one state matrix, up to each family's
+measured n cutoff (``auto_max_n``), past which the serial loop is
+faster and runs them instead.  Per-trial results are
 bitwise-identical to ``batch=None``; non-batchable processes (oracle
 switches, single-vertex daemons, reference implementations, ...)
 silently take the serial path.
@@ -212,10 +214,14 @@ def estimate_stabilization_time(
     seed:
         Master seed; per-trial seeds are spawned from it.
     batch:
-        Trial-execution strategy: ``"auto"`` (default) simulates up to
-        :data:`AUTO_BATCH_CHUNK` trials at a time on the batched engine,
-        an ``int`` sets that chunk size explicitly, and ``None`` forces
-        the serial trial loop.  All three produce identical statistics.
+        Trial-execution strategy: ``"auto"`` (default) builds up to
+        :data:`AUTO_BATCH_CHUNK` trials at a time and simulates them on
+        the batched engine when their vertex count is at most the
+        family's ``auto_max_n`` cutoff (8192 for 2-state), else on the
+        serial loop, which is faster at large n (see
+        :func:`~repro.sim.runner.run_many_until_stable`); an ``int``
+        sets the chunk size and always batches; ``None`` forces the
+        serial trial loop.  All three produce identical statistics.
         Factories producing non-batchable processes (oracle-switch
         3-color, single-vertex daemons, reference implementations, ...)
         are detected from the first trial and routed to the serial loop

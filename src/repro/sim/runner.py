@@ -19,8 +19,8 @@ For Monte-Carlo campaigns, :func:`run_many_until_stable` runs a whole
 list of independent processes, routing batchable ones (2-state,
 3-state, 3-color and independently-scheduled processes — see the
 dispatch table in :mod:`repro.core.batched`) through the matching
-vectorized engine and everything else through the serial loop, with
-results bitwise-identical either way.
+vectorized engine up to the family's measured n cutoff, and everything
+else through the serial loop, with results bitwise-identical either way.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def run_many_until_stable(
     lockstep engine — and everything else goes through
     :func:`run_until_stable` one at a time.  Every process produces the
     exact trajectory it would have produced serially, so the two paths
-    are interchangeable.
+    are interchangeable and the choice between them is only about speed.
 
     Parameters
     ----------
@@ -184,9 +184,15 @@ def run_many_until_stable(
     max_rounds, verify:
         As in :func:`run_until_stable` (shared by all processes).
     batch:
-        ``"auto"`` (group batchable processes in chunks of
-        :data:`AUTO_BATCH_CHUNK`, bounding peak memory), an ``int`` cap
-        on replicas per batch, or ``None`` (serial loop for everything).
+        ``"auto"`` (default) batches a group of two or more processes
+        of one engine family and vertex count ``n`` only when ``n <=
+        engine_cls.auto_max_n``, the family's measured crossover (see
+        :attr:`repro.core.batched._BatchedMISEngine.auto_max_n`; 8192
+        for 2-state); larger groups run the serial loop, which is faster
+        there.  Batched groups go in chunks of :data:`AUTO_BATCH_CHUNK`,
+        bounding peak memory.  An ``int`` always batches, at most that
+        many replicas per chunk, whatever ``n``; ``None`` runs the
+        serial loop for everything.
     engine:
         Aggregate engine for the *batched* groups (see
         :mod:`repro.core.batched_frontier`): ``"full"`` recomputes the
@@ -262,9 +268,11 @@ def run_many_until_stable(
             if engine_cls is not None:
                 groups.setdefault((engine_cls, process.n), []).append(idx)
     batched_indices = set()
-    for (engine_cls, _n), indices in groups.items():
+    for (engine_cls, n), indices in groups.items():
         if len(indices) < 2:
             continue  # a singleton gains nothing from the batch machinery
+        if batch == "auto" and n > engine_cls.auto_max_n:
+            continue  # past the family's measured crossover: serial wins
         cap = AUTO_BATCH_CHUNK if batch == "auto" else int(batch)
         for lo in range(0, len(indices), cap):
             chunk = indices[lo:lo + cap]

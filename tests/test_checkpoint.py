@@ -111,6 +111,7 @@ def test_journal_tolerates_torn_tail(tmp_path):
     with CheckpointJournal(path, spec, resume=False) as journal:
         journal.put("trial:0", [True, 5])
         journal.put("trial:1", [True, 9])
+    intact = path.read_bytes()
     # Simulate a crash mid-append: a truncated final line.
     with open(path, "a", encoding="utf-8") as fh:
         fh.write('{"key": "trial:2", "val')
@@ -118,6 +119,83 @@ def test_journal_tolerates_torn_tail(tmp_path):
         assert journal.get("trial:0") == [True, 5]
         assert journal.get("trial:1") == [True, 9]
         assert "trial:2" not in journal  # re-run, not misparsed
+    assert path.read_bytes() == intact  # the fragment is cut from disk
+
+
+def _journal_with_three_trials(path, spec):
+    with CheckpointJournal(path, spec, resume=False) as journal:
+        journal.put("trial:0", {"rounds": 17})
+        journal.put("trial:1", {"rounds": 9})
+        journal.put("trial:2", {"rounds": 4})
+    return path.read_bytes()
+
+
+def test_journal_refuses_edited_record(tmp_path):
+    path = tmp_path / "campaign.journal"
+    spec = {"kind": "edited"}
+    raw = _journal_with_three_trials(path, spec)
+    assert raw.count(b'"rounds":17') == 1
+    path.write_bytes(raw.replace(b'"rounds":17', b'"rounds":71'))
+    offset = raw.index(b"\n") + 1  # the first record follows the header
+    with pytest.raises(
+        CheckpointError, match=f"byte offset {offset} .checksum mismatch"
+    ):
+        CheckpointJournal(path, spec, resume=True)
+
+
+def test_journal_refuses_garbage_middle_line(tmp_path):
+    path = tmp_path / "campaign.journal"
+    spec = {"kind": "garbage"}
+    raw = _journal_with_three_trials(path, spec)
+    lines = raw.split(b"\n")
+    lines.insert(2, b"#!garbage")
+    path.write_bytes(b"\n".join(lines))
+    offset = len(lines[0]) + len(lines[1]) + 2
+    with pytest.raises(CheckpointError, match=f"byte offset {offset} "):
+        CheckpointJournal(path, spec, resume=True)
+    # Refusing must not have truncated the valid records after it.
+    assert path.read_bytes() == b"\n".join(lines)
+
+
+def test_journal_drops_bad_final_record_and_truncates_it(tmp_path):
+    path = tmp_path / "campaign.journal"
+    spec = {"kind": "torn"}
+    raw = _journal_with_three_trials(path, spec)
+    # A damaged but newline-terminated last record counts as torn too.
+    damaged = raw.replace(b'"rounds":4', b'"rounds":5')
+    path.write_bytes(damaged)
+    with CheckpointJournal(path, spec, resume=True) as journal:
+        assert journal.get("trial:0") == {"rounds": 17}
+        assert journal.get("trial:1") == {"rounds": 9}
+        assert "trial:2" not in journal
+    assert path.read_bytes() == raw[: raw.rindex(b"\n", 0, -1) + 1]
+
+
+def test_journal_never_replays_a_newline_less_record(tmp_path):
+    # A record torn just before its newline is intact, but the next
+    # append would merge into it, so it is dropped like any fragment.
+    path = tmp_path / "campaign.journal"
+    spec = {"kind": "torn"}
+    raw = _journal_with_three_trials(path, spec)
+    path.write_bytes(raw[:-1])
+    with CheckpointJournal(path, spec, resume=True) as journal:
+        assert "trial:1" in journal and "trial:2" not in journal
+        journal.put("trial:2", {"rounds": 4})
+    with CheckpointJournal(path, spec, resume=True) as journal:
+        assert journal.get("trial:2") == {"rounds": 4}
+    assert path.read_bytes() == raw
+
+
+def test_journal_refuses_version_1(tmp_path):
+    path = tmp_path / "v1.journal"
+    fingerprint = campaign_fingerprint({})
+    path.write_text(
+        '{"magic":"repro-checkpoint","version":1,'
+        f'"fingerprint":"{fingerprint}"}}\n'
+        '{"key":"trial:0","value":[true,17]}\n'
+    )
+    with pytest.raises(CheckpointError, match="version 1 .this build reads 2"):
+        CheckpointJournal(path, {}, resume=True)
 
 
 def test_closed_journal_refuses_writes(tmp_path):
@@ -198,7 +276,8 @@ def test_estimate_serial_path_resumes_per_trial(tmp_path):
     )
     # Drop the summary so the re-run must rebuild from trial keys.
     lines = path.read_text().splitlines()
-    kept = [line for line in lines if '"key": "stats"' not in line]
+    kept = [line for line in lines if '"key":"stats"' not in line]
+    assert len(kept) == len(lines) - 1
     path.write_text("\n".join(kept) + "\n")
     resumed = estimate_stabilization_time(
         _factory, trials=6, max_rounds=300, seed=4, batch=None,
